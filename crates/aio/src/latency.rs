@@ -19,9 +19,18 @@
 //! link's dead flag is read lazily, at each attempt's start, so a remote
 //! that comes back mid-backoff heals the operation.
 //!
+//! A batch verification ([`AsyncBlockSource::verify_batch_async`]) is
+//! one operation per link, not per id: at creation the inner store reads
+//! (and so CRC-checks) every block, then one plan is drawn for each link
+//! the batch's ids route to, in link order, under the same single lock.
+//! Each plan charges a fixed per-id status size under the bandwidth cap
+//! instead of the block bytes, and a link whose plan exhausts its retries
+//! answers [`StoreError::TimedOut`] for every id routed to it.
+//!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
 use crate::exec::Runtime;
+use crate::pipeline::windowed_map;
 use ae_api::{
     AsyncBlockRepo, AsyncBlockSink, AsyncBlockSource, AsyncHandle, BlockRepo, BlockSink,
     BlockSource, BoxFuture, StoreError,
@@ -112,6 +121,10 @@ impl Default for RetryPolicy {
     }
 }
 
+/// Bytes a remote verification ships back per id — the id and its
+/// verdict — in place of the block itself.
+const VERIFY_STATUS_BYTES: u64 = 16;
+
 /// SplitMix64 — the de-facto standard seeding generator; tiny, full
 /// period, and exactly reproducible from its seed.
 #[derive(Debug)]
@@ -163,6 +176,17 @@ struct Plan {
 /// [`RetryPolicy`] for the failure semantics. Composes with
 /// `ae_store::FaultyStore` (wrap the faulty store to model a flaky
 /// *and* distant backend).
+///
+/// Batch verification ([`AsyncBlockSource::verify_batch_async`]) runs
+/// where the blocks live: the inner store reads every id — its CRC check
+/// included — and only a fixed-size status per id crosses the link. The
+/// link is charged **once per tier per batch**: at creation, one plan is
+/// drawn for each tier the batch's ids route to, in link order
+/// ([`Tier::Local`] first) under the same state lock single operations
+/// use, so a batch consumes the seeded jitter stream exactly as one
+/// single operation per tier issued back to back would. If a tier's
+/// plan exhausts its retries, every id routed to that tier answers
+/// [`StoreError::TimedOut`]; the other tier's verdicts stand.
 pub struct LatencyStore<S: ?Sized> {
     rt: Runtime,
     retry: RetryPolicy,
@@ -279,13 +303,27 @@ impl<S: BlockRepo + Send + ?Sized> LatencyStore<S> {
     /// under the bandwidth cap, and draw every attempt's jitter now so
     /// issue order alone fixes the random stream.
     fn plan(&self, id: BlockId, bytes: u64) -> (Plan, &LinkState) {
-        let link = &self.links[self.route(id)];
+        let li = self.route(id);
+        let link = &self.links[li];
         let spec = *link.spec.lock();
-        let rtt = spec.rtt.as_nanos() as u64;
-        let jitter = spec.jitter.as_nanos() as u64;
         let mut st = self.state.lock();
         let now = self.rt.now();
-        let li = self.route(id);
+        (self.plan_locked(&mut st, now, li, spec, bytes), link)
+    }
+
+    /// The body of [`Self::plan`] for link `li`, with the state lock
+    /// already held — batch operations draw several plans under one
+    /// acquisition.
+    fn plan_locked(
+        &self,
+        st: &mut NetState,
+        now: u64,
+        li: usize,
+        spec: LinkSpec,
+        bytes: u64,
+    ) -> Plan {
+        let rtt = spec.rtt.as_nanos() as u64;
+        let jitter = spec.jitter.as_nanos() as u64;
         let slot = now.max(st.free[li]);
         let transfer = match spec.bytes_per_sec {
             Some(bps) if bps > 0 => bytes.saturating_mul(1_000_000_000) / bps,
@@ -302,15 +340,14 @@ impl<S: BlockRepo + Send + ?Sized> LatencyStore<S> {
                 }
             })
             .collect();
-        let plan = Plan {
+        Plan {
             issue: now,
             base: slot + transfer + rtt,
             jitters,
             timeout: self.retry.timeout.as_nanos() as u64,
             backoff: self.retry.backoff.as_nanos() as u64,
             multiplier: u64::from(self.retry.multiplier),
-        };
-        (plan, link)
+        }
     }
 }
 
@@ -382,6 +419,52 @@ impl<S: BlockRepo + Send + ?Sized> AsyncBlockSource for LatencyStore<S> {
             } else {
                 Err(StoreError::TimedOut(id))
             }
+        })
+    }
+
+    /// Verifies on the far side of the link: the inner store reads every
+    /// block at creation, and one status-sized transfer per link carries
+    /// all the verdicts back (see the [`LatencyStore`] docs).
+    fn verify_batch_async(&self, ids: Vec<BlockId>) -> BoxFuture<'_, Vec<Result<(), StoreError>>> {
+        let mut results: Vec<Result<(), StoreError>> = ids
+            .iter()
+            .map(|&id| self.inner.read(id).map(drop))
+            .collect();
+        let routes: Vec<usize> = ids.iter().map(|&id| self.route(id)).collect();
+        let mut counts = vec![0u64; self.links.len()];
+        for &li in &routes {
+            counts[li] += 1;
+        }
+        let specs: Vec<LinkSpec> = self.links.iter().map(|l| *l.spec.lock()).collect();
+        let plans: Vec<(usize, Plan)> = {
+            let mut st = self.state.lock();
+            let now = self.rt.now();
+            (0..self.links.len())
+                .filter(|&li| counts[li] > 0)
+                .map(|li| {
+                    let bytes = counts[li] * VERIFY_STATUS_BYTES;
+                    (li, self.plan_locked(&mut st, now, li, specs[li], bytes))
+                })
+                .collect()
+        };
+        let rt = self.rt.clone();
+        let links = &self.links;
+        Box::pin(async move {
+            let reached = windowed_map(plans, links.len(), move |(li, plan)| {
+                let rt = rt.clone();
+                Box::pin(async move { (li, transmit(rt, &links[li].dead, plan).await) })
+            })
+            .await;
+            for (li, ok) in reached {
+                if !ok {
+                    for ((result, &route), &id) in results.iter_mut().zip(&routes).zip(&ids) {
+                        if route == li {
+                            *result = Err(StoreError::TimedOut(id));
+                        }
+                    }
+                }
+            }
+            results
         })
     }
 }
@@ -513,13 +596,25 @@ mod tests {
                     assert!(f.await.is_some());
                 }
             });
-            rt.now()
+            let fetched = rt.now();
+            let verdicts = rt.block_on(net.verify_batch_async((0..4).map(data).collect()));
+            assert_eq!(verdicts, vec![Ok(()); 4]);
+            (fetched, rt.now())
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b, "seeded jitter + eager plans replay identically");
         // Four 1000-byte transfers queue: the last completes no earlier
         // than 4 ms of transfer + 1 ms RTT.
-        assert!(a >= 5 * MS, "bandwidth queueing observed (t={a})");
+        assert!(a.0 >= 5 * MS, "bandwidth queueing observed (t={})", a.0);
+        // Verifying the same four blocks is one plan on the link: one RTT
+        // plus four status transfers (64 µs at 1 µs per byte) and at most
+        // one jitter draw — not four block transfers.
+        let status = 4 * VERIFY_STATUS_BYTES * 1_000;
+        let batch = a.1 - a.0;
+        assert!(
+            (MS + status..=MS + status + 100_000).contains(&batch),
+            "one status-sized plan per batch (took {batch} ns)"
+        );
     }
 
     #[test]

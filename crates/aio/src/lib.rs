@@ -20,6 +20,8 @@
 //!   links — RTT, seeded jitter, bandwidth caps — with typed
 //!   timeout/retry/backoff so a dead remote degrades to
 //!   [`ae_api::StoreError::TimedOut`] (or `None`/`false`), never a hang.
+//!   Integrity sweeps verify blocks where they live: a batch ships one
+//!   status per id over each link instead of the blocks.
 //!   Composes with `ae_store::FaultyStore` for flaky *and* distant.
 //! * **Bounded-in-flight pipelining** ([`windowed`], [`windowed_map`],
 //!   [`OrderedWindow`]): at most [`in_flight_window`] operations in
@@ -50,7 +52,11 @@
 //!    creation* from the seeded generator, so issue order alone pins the
 //!    random stream; replay resolves misses in sorted-id order so even
 //!    the parallel repair planner's thread interleaving cannot perturb
-//!    issue order.
+//!    issue order. A batch verification
+//!    ([`ae_api::AsyncBlockSource::verify_batch_async`]) is one plan per
+//!    link per batch, drawn at creation in link order (local tier first)
+//!    under the same lock, each charging a fixed per-id status size
+//!    under the bandwidth cap; the blocks' bytes never cross the link.
 //!
 //! Under the contract, a pipelined repair is byte-identical to its
 //! serial counterpart and every simulated timestamp replays exactly;

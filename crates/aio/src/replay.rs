@@ -77,6 +77,13 @@ impl<'a> Recorder<'a> {
     fn miss(&self, op: Op, id: BlockId) {
         self.misses.lock().insert((op, id));
     }
+
+    /// Whether this pass has recorded a miss — if so, its result will be
+    /// discarded and the pass rerun, so work that only matters to a
+    /// faithful pass (an expensive fallback, say) can be skipped.
+    pub fn missed(&self) -> bool {
+        !self.misses.lock().is_empty()
+    }
 }
 
 impl std::fmt::Debug for Recorder<'_> {
@@ -179,6 +186,24 @@ impl<'h> Replay<'h> {
             Err(StoreError::Corrupted(_)) | Err(StoreError::TimedOut(_)) => {}
         }
         self.answers.read.insert(id, result);
+    }
+
+    /// Seeds the answer set with an in-place verification verdict (see
+    /// `ae_api::AsyncBlockSource::verify_batch_async`): presence or
+    /// absence only. A verified-present block answers `has`, while its
+    /// bytes stay unanswered until a pass actually asks for them;
+    /// `NotFound` is [`Self::seed_absent`]; `Corrupted` and `TimedOut`
+    /// answer `read` only, as in [`Self::seed_read`].
+    pub fn seed_verified(&mut self, id: BlockId, verdict: Result<(), StoreError>) {
+        match verdict {
+            Ok(()) => {
+                self.answers.has.insert(id, true);
+            }
+            Err(StoreError::NotFound(_)) => self.seed_absent(id),
+            Err(e) => {
+                self.answers.read.insert(id, Err(e));
+            }
+        }
     }
 
     /// Records `id` as absent for every question kind — what a caller

@@ -65,6 +65,23 @@ pub trait AsyncBlockSource: Sync {
     /// additionally reports [`StoreError::TimedOut`] when the backend
     /// gave up retrying a dead remote.
     fn read_async(&self, id: BlockId) -> BoxFuture<'_, Result<Block, StoreError>>;
+
+    /// Integrity-checks a batch of blocks where they live, resolving to
+    /// one result per id in `ids` order: exactly what
+    /// [`AsyncBlockSource::read_async`] would answer (`Ok`, `NotFound`,
+    /// `Corrupted`, `TimedOut`), minus the bytes. A remote backend
+    /// overrides this to verify on its side of the link and ship only
+    /// statuses; the default awaits `read_async` id by id, so every
+    /// backend answers it unchanged.
+    fn verify_batch_async(&self, ids: Vec<BlockId>) -> BoxFuture<'_, Vec<Result<(), StoreError>>> {
+        Box::pin(async move {
+            let mut out = Vec::with_capacity(ids.len());
+            for id in ids {
+                out.push(self.read_async(id).await.map(drop));
+            }
+            out
+        })
+    }
 }
 
 /// The async mirror of [`BlockSink`]: something blocks can be written to.

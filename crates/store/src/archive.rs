@@ -1402,7 +1402,10 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// through the window, then replay the serial read logic against the
     /// recorded answers, resolving any repair traffic it demands through
     /// the window too (see `ae_aio::Replay` for the byte-equivalence
-    /// argument).
+    /// argument). A pass that has already recorded a miss is discarded
+    /// anyway, so it skips the archive-wide round-based fallback: a
+    /// degraded read fetches its fast-path tuple, and only reaches for the
+    /// whole archive once a faithful pass shows the tuple incomplete.
     fn get_pipelined(&self, handle: AsyncHandle<'_>, name: &str) -> Result<Vec<u8>, ArchiveError> {
         let entry = self.manifest_entry(name)?;
         let ids: Vec<BlockId> = (entry.first_block..entry.first_block + entry.block_count)
@@ -1420,7 +1423,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         let (result, writes) = replay.run(|src| {
             let mut out = Vec::with_capacity(entry.byte_len);
             for &id in &ids {
-                let block = self.repair_from(src.read(id), src, id)?;
+                let block = self.repair_from(src.read(id), src, id, &|| src.missed())?;
                 out.extend_from_slice(block.as_slice());
             }
             Ok(out)
@@ -1474,11 +1477,18 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// repair planners rebuild them from surviving redundancy. Returns
     /// how many blocks were restored (data, redundancy and metadata
     /// copies); clears the [`Archive::meta_damage`] report.
+    ///
     /// When the backend advertises a native async interior
-    /// ([`BlockSource::as_async`]), the scrub runs **pipelined**: the
-    /// integrity sweep, repair traffic, write-back, metadata compare and
-    /// heal all move through the bounded in-flight window, restoring the
-    /// byte-identical final backend state the serial scrub would.
+    /// ([`BlockSource::as_async`]), the scrub runs **pipelined**. Its
+    /// integrity sweep is one batch verification
+    /// ([`ae_api::AsyncBlockSource::verify_batch_async`]) that checks
+    /// every stored block where it lives and brings back only presence,
+    /// absence or corruption; block bytes cross the link only when the
+    /// repair planner asks for the tuple members of a missing block, so
+    /// scrub traffic scales with damage × code locality, not with the
+    /// archive. Repair traffic, write-back, metadata compare and heal move
+    /// through the bounded in-flight window, restoring the byte-identical
+    /// final backend state the serial scrub would.
     pub fn scrub(&mut self) -> u64 {
         let store = Arc::clone(&self.store);
         let probe: &B = &store;
@@ -1548,23 +1558,22 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         restored
     }
 
-    /// The pipelined scrub: same four stages as [`Self::scrub_serial`],
-    /// each moved through the bounded in-flight window — (1) one read
-    /// sweep of everything the backend should hold, quarantining corrupt
-    /// blocks; (2) round-based repair replayed against the sweep's
-    /// answers with its write log committed in deterministic order;
-    /// (3) metadata compare-and-heal; (4) stale pointer-cell clearing.
+    /// The pipelined scrub: same four stages as [`Self::scrub_serial`] —
+    /// (1) one in-place verification batch over everything the backend
+    /// should hold, quarantining corrupt blocks; (2) round-based repair
+    /// replayed against the sweep's presence answers with its write log
+    /// committed in deterministic order; (3) metadata compare-and-heal;
+    /// (4) stale pointer-cell clearing. Stages 2–4 move through the
+    /// bounded in-flight window.
     fn scrub_pipelined(&self, handle: AsyncHandle<'_>) -> u64 {
         let window = in_flight_window();
         let repo = handle.repo;
         // Stage 1: integrity sweep + quarantine.
         let sweep: Vec<BlockId> = self.stored_ids.clone();
-        let reads = handle.run(Box::pin(windowed_map(sweep.clone(), window, move |id| {
-            repo.read_async(id)
-        })));
+        let verdicts = handle.run(repo.verify_batch_async(sweep.clone()));
         let corrupt: Vec<BlockId> = sweep
             .iter()
-            .zip(&reads)
+            .zip(&verdicts)
             .filter(|(_, r)| matches!(r, Err(StoreError::Corrupted(_))))
             .map(|(&id, _)| id)
             .collect();
@@ -1576,11 +1585,11 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         // serial path's would.
         let mut replay = Replay::new(handle, window);
         let corrupt_set: std::collections::HashSet<BlockId> = corrupt.into_iter().collect();
-        for (&id, read) in sweep.iter().zip(reads) {
+        for (&id, verdict) in sweep.iter().zip(verdicts) {
             if corrupt_set.contains(&id) {
                 replay.seed_absent(id);
             } else {
-                replay.seed_read(id, read);
+                replay.seed_verified(id, verdict);
             }
         }
         let written = self.scheme.data_written();
@@ -1638,19 +1647,23 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     fn fetch_or_repair(&self, id: BlockId) -> Result<Block, ArchiveError> {
         let store: &B = &self.store;
         let base: &dyn BlockSource = &store;
-        self.repair_from(self.store.read(id), base, id)
+        self.repair_from(self.store.read(id), base, id, &|| false)
     }
 
     /// The degraded-read core, factored over its block source so the
     /// serial path (the backend itself) and the pipelined path (the
     /// replay recorder) run it verbatim: take the already-probed read
     /// result and, on failure, rebuild from redundancy reachable through
-    /// `base` with the target id masked.
+    /// `base` with the target id masked. When the fast path fails and
+    /// `discarded()` says the caller will throw this result away (a
+    /// replay pass that already recorded a miss), the round-based
+    /// fallback is skipped; the serial path passes `|| false`.
     fn repair_from(
         &self,
         read: Result<Block, StoreError>,
         base: &dyn BlockSource,
         id: BlockId,
+        discarded: &dyn Fn() -> bool,
     ) -> Result<Block, ArchiveError> {
         // `read`, not `fetch`: a backend that verifies checksums reports
         // tampered bytes as `Corrupted`, which to a decoder means the
@@ -1668,6 +1681,12 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
             Ok(b) => return Ok(b),
             Err(e) => e,
         };
+        if discarded() {
+            return Err(ArchiveError::BlockUnavailable {
+                id,
+                source: fast_err,
+            });
+        }
         // Slow path: round-based repair into a read-side overlay, so
         // chained reconstructions work without mutating the backend
         // (degraded reads stay read-only).
