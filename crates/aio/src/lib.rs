@@ -29,7 +29,11 @@
 //! * **Phase replay** ([`Replay`], [`Recorder`]): runs the unmodified
 //!   sync repair algorithms against an async backend by recording their
 //!   block demands, resolving them through the window, and rerunning to
-//!   a fixed point — provably byte-identical to the serial path.
+//!   a fixed point — provably byte-identical to the serial path. An
+//!   unanswered read is provisionally absent, unless a verification
+//!   sweep proved the block present: then it reads as a zero-filled
+//!   stand-in, so a planner's first pass already picks the repair option
+//!   the faithful pass will, and only that option's blocks are fetched.
 //!
 //! [`BlockOn`] closes the loop: it adapts a natively-async backend back
 //! into the sync family and advertises the async interior through

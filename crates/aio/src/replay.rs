@@ -6,13 +6,23 @@
 //! backend: reads are answered from the replay's accumulated [`answer
 //! set`](Replay) (patch-first, so the logic sees its own writes), and
 //! anything unanswered is *recorded as a miss* with a provisional
-//! "absent" result. After each pass the misses are resolved against the
-//! real async backend — pipelined, `window` at a time, in sorted id
-//! order — and the pass reruns. When a pass records no misses, every
-//! answer it consumed was faithful, so by induction its outcome (and its
-//! write log) is byte-identical to running the same logic directly
-//! against the backend serially; the writes are then committed through
-//! the window in deterministic log order.
+//! result. After each pass the misses are resolved against the real
+//! async backend — pipelined, `window` at a time, in sorted id order —
+//! and the pass reruns. When a pass records no misses, every answer it
+//! consumed was faithful, so by induction its outcome (and its write
+//! log) is byte-identical to running the same logic directly against the
+//! backend serially; the writes are then committed through the window in
+//! deterministic log order.
+//!
+//! The provisional answer follows what the replay already knows about
+//! presence. A block a verification sweep proved present
+//! ([`Replay::seed_verified`]) but whose bytes are still unfetched reads
+//! as a zero-filled *stand-in* of the sweep's block length, so a repair
+//! planner's first pass commits to the same option a faithful pass
+//! takes, and the misses it records are exactly the faithful pass's
+//! reads. A block with no presence answer reads as provisionally absent.
+//! Stand-ins never escape: only a miss-free pass is returned, and such a
+//! pass consumed no provisional answer at all.
 //!
 //! Misses are collected into an ordered set, not an append log, so the
 //! parallel repair planner's thread interleaving cannot perturb the
@@ -45,16 +55,29 @@ enum AnswerVal {
 /// `fetch` and `read` are kept separately because fault-injecting
 /// backends answer them differently for the same id (a garbled block
 /// fetches as tampered bytes but reads as `Corrupted`).
+///
+/// `stand_in` holds the block length of every id verified present whose
+/// bytes have not been fetched yet.
 #[derive(Debug, Default)]
 struct Answers {
     fetch: HashMap<BlockId, Option<Block>>,
     read: HashMap<BlockId, Result<Block, StoreError>>,
     has: HashMap<BlockId, bool>,
+    stand_in: HashMap<BlockId, usize>,
+}
+
+impl Answers {
+    /// The provisional bytes for an unanswered read of `id`: a zero-filled
+    /// stand-in if `id` was verified present, otherwise absent.
+    fn provisional(&self, id: BlockId) -> Option<Block> {
+        self.stand_in.get(&id).map(|&len| Block::zero(len))
+    }
 }
 
 /// The stand-in backend one replay pass runs against. Reads are answered
 /// patch-first (the pass sees its own writes), then from the answer set,
-/// and otherwise recorded as misses with provisional absent results;
+/// and otherwise recorded as misses with provisional results (a
+/// zero-filled stand-in for a block verified present, absent otherwise);
 /// writes land in the patch and the ordered write log. Replay passes
 /// never remove blocks — removal stays with the caller, outside replay.
 pub struct Recorder<'a> {
@@ -104,7 +127,7 @@ impl BlockSource for Recorder<'_> {
             Some(ans) => ans.clone(),
             None => {
                 self.miss(Op::Fetch, id);
-                None
+                self.answers.provisional(id)
             }
         }
     }
@@ -130,7 +153,7 @@ impl BlockSource for Recorder<'_> {
             Some(ans) => ans.clone(),
             None => {
                 self.miss(Op::Read, id);
-                Err(StoreError::NotFound(id))
+                self.answers.provisional(id).ok_or(StoreError::NotFound(id))
             }
         }
     }
@@ -191,13 +214,16 @@ impl<'h> Replay<'h> {
     /// Seeds the answer set with an in-place verification verdict (see
     /// `ae_api::AsyncBlockSource::verify_batch_async`): presence or
     /// absence only. A verified-present block answers `has`, while its
-    /// bytes stay unanswered until a pass actually asks for them;
-    /// `NotFound` is [`Self::seed_absent`]; `Corrupted` and `TimedOut`
-    /// answer `read` only, as in [`Self::seed_read`].
-    pub fn seed_verified(&mut self, id: BlockId, verdict: Result<(), StoreError>) {
+    /// bytes stay unanswered until a pass actually asks for them. Until
+    /// then it reads as a zero-filled `len`-byte stand-in, so a repair
+    /// planner's first pass already commits to the option the faithful
+    /// pass takes. `NotFound` is [`Self::seed_absent`]; `Corrupted` and
+    /// `TimedOut` answer `read` only, as in [`Self::seed_read`].
+    pub fn seed_verified(&mut self, id: BlockId, verdict: Result<(), StoreError>, len: usize) {
         match verdict {
             Ok(()) => {
                 self.answers.has.insert(id, true);
+                self.answers.stand_in.insert(id, len);
             }
             Err(StoreError::NotFound(_)) => self.seed_absent(id),
             Err(e) => {
@@ -277,6 +303,7 @@ impl<'h> Replay<'h> {
             self.answers.fetch.remove(id);
             self.answers.read.remove(id);
             self.answers.has.remove(id);
+            self.answers.stand_in.remove(id);
         }
         let repo = self.handle.repo;
         self.handle.run(Box::pin(windowed_map(
@@ -373,6 +400,55 @@ mod tests {
         assert_eq!(out, vec![9]);
         assert!(writes.is_empty());
         assert_eq!(rt.now(), t0, "fully-seeded replay issues no network ops");
+    }
+
+    #[test]
+    fn verified_presence_commits_the_first_pass_to_the_faithful_option() {
+        let store = remote(10);
+        let blocks = [(1u64, 0x11u8), (2, 0x22), (3, 0x33), (4, 0x44)];
+        for &(i, byte) in &blocks {
+            store
+                .inner()
+                .inner()
+                .store(data(i), Block::from_vec(vec![byte; 4]));
+        }
+        let handle = store.as_async().unwrap();
+        let mut replay = Replay::new(handle, 4);
+        for &(i, _) in &blocks {
+            replay.seed_verified(data(i), Ok(()), 4);
+        }
+        // A repair planner in miniature: two options for one target, the
+        // first complete one wins, and a member that fetches as absent
+        // sends it on to the next option.
+        let options = [[data(1), data(2)], [data(3), data(4)]];
+        let passes = std::sync::atomic::AtomicUsize::new(0);
+        let (result, writes) = replay.run(|src| {
+            passes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            options.iter().find_map(|option| {
+                if !option.iter().all(|&id| src.has(id)) {
+                    return None;
+                }
+                let [a, b] = option.map(|id| src.fetch(id));
+                let xor: Vec<u8> = a?
+                    .as_slice()
+                    .iter()
+                    .zip(b?.as_slice())
+                    .map(|(x, y)| x ^ y)
+                    .collect();
+                src.store(data(100), Block::from_vec(xor.clone()));
+                Some(xor)
+            })
+        });
+        assert_eq!(passes.into_inner(), 2, "one recording pass, one faithful");
+        let mut fetched: Vec<BlockId> = replay.answers.fetch.keys().copied().collect();
+        fetched.sort();
+        assert_eq!(
+            fetched,
+            vec![data(1), data(2)],
+            "only the first option's members"
+        );
+        assert_eq!(result, Some(vec![0x33; 4]), "real bytes, not stand-ins");
+        assert_eq!(writes, vec![(data(100), Block::from_vec(vec![0x33; 4]))]);
     }
 
     #[test]

@@ -331,32 +331,30 @@ impl ReedSolomon {
 
         // Invert the k×k submatrix of the generator for k surviving shards
         // (memoized per erasure pattern); its product with those shards
-        // yields the data shards.
+        // yields the missing data shards. Every present data shard is
+        // among those rows, so its own decode is itself and is skipped.
         let rows: Vec<usize> = present.iter().take(self.k).copied().collect();
         let inv = self.cached_decode_matrix(&rows);
-
-        let mut data: Vec<Vec<u8>> = Vec::with_capacity(self.k);
         for r in 0..self.k {
+            if shards[r].is_some() {
+                continue;
+            }
             let mut out = vec![0u8; len];
             for (c, &src_row) in rows.iter().enumerate() {
                 let coeff = inv[(r, c)];
                 let shard = shards[src_row].as_ref().expect("selected rows are present");
                 field::mul_slice_acc(coeff, shard, &mut out);
             }
-            data.push(out);
+            shards[r] = Some(out);
         }
 
-        // Fill in missing data shards, then recompute missing parities.
-        for i in 0..self.k {
-            if shards[i].is_none() {
-                shards[i] = Some(data[i].clone());
-            }
-        }
+        // Recompute missing parities from the now-complete data shards.
         for r in 0..self.m {
             if shards[self.k + r].is_none() {
                 let row = self.generator.row(self.k + r);
                 let mut out = vec![0u8; len];
-                for (c, d) in data.iter().enumerate() {
+                for (c, d) in shards[..self.k].iter().enumerate() {
+                    let d = d.as_ref().expect("data shards are complete");
                     field::mul_slice_acc(row[c], d, &mut out);
                 }
                 shards[self.k + r] = Some(out);

@@ -71,7 +71,10 @@ impl ReedSolomon {
 
     /// Decodes stripe `t` from whatever `source` has, returning the full
     /// member contents, or the unavailable members that made decoding
-    /// impossible.
+    /// impossible. Members are fetched in order and fetching stops once
+    /// `k` are in hand (virtual members included): `reconstruct` decodes
+    /// from the first `k` present rows, so later members would be read
+    /// for nothing.
     fn decode_stripe(
         &self,
         source: &dyn BlockSource,
@@ -82,15 +85,22 @@ impl ReedSolomon {
         let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(members.len());
         let mut missing = Vec::new();
         let mut len = None;
+        let mut in_hand = 0;
         for &id in &members {
+            if in_hand == self.k() {
+                shards.push(None); // recomputed by `reconstruct`
+                continue;
+            }
             if self.is_virtual(id, data_blocks) {
                 shards.push(None); // filled with zeros once the length is known
+                in_hand += 1;
                 continue;
             }
             match source.fetch(id) {
                 Some(b) => {
                     len = Some(b.len());
                     shards.push(Some(b.as_slice().to_vec()));
+                    in_hand += 1;
                 }
                 None => {
                     missing.push(id);

@@ -59,7 +59,7 @@
 use crate::meta::{
     meta_copy_id, pointer_id, CheckpointPayload, MetaConfig, MetaRecord, RecordError,
 };
-use ae_aio::{in_flight_window, windowed_map, Replay};
+use ae_aio::{in_flight_window, windowed, windowed_map, OpFactory, Replay};
 use ae_api::{
     AeError, AsyncHandle, BlockRepo, BlockSource, Overlay, RedundancyScheme, RepairError,
     StoreError,
@@ -1183,18 +1183,7 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// drills pick metadata victims from this list; [`Archive::scrub`]
     /// heals against it.
     pub fn live_meta_ids(&self) -> Vec<BlockId> {
-        let mut ids = Vec::new();
-        for &seq in self.journal.keys() {
-            for copy in 0..self.meta.copies {
-                ids.push(meta_copy_id(seq, copy));
-            }
-        }
-        for &slot in self.pointers.keys() {
-            for copy in 0..self.meta.copies {
-                ids.push(pointer_id(slot, copy));
-            }
-        }
-        ids
+        self.meta_copies().into_iter().map(|(id, _)| id).collect()
     }
 
     /// The metadata durability policy in effect: the genesis-pinned
@@ -1479,16 +1468,20 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
     /// copies); clears the [`Archive::meta_damage`] report.
     ///
     /// When the backend advertises a native async interior
-    /// ([`BlockSource::as_async`]), the scrub runs **pipelined**. Its
-    /// integrity sweep is one batch verification
-    /// ([`ae_api::AsyncBlockSource::verify_batch_async`]) that checks
-    /// every stored block where it lives and brings back only presence,
-    /// absence or corruption; block bytes cross the link only when the
-    /// repair planner asks for the tuple members of a missing block, so
-    /// scrub traffic scales with damage × code locality, not with the
-    /// archive. Repair traffic, write-back, metadata compare and heal move
-    /// through the bounded in-flight window, restoring the byte-identical
-    /// final backend state the serial scrub would.
+    /// ([`BlockSource::as_async`]), the scrub runs **pipelined**, in three
+    /// phases through the bounded in-flight window: (1) one batch
+    /// verification ([`ae_api::AsyncBlockSource::verify_batch_async`])
+    /// that checks every stored block where it lives and brings back only
+    /// presence, absence or corruption, sent alongside the metadata-copy
+    /// probes and the stale pointer-cell clears; (2) the replayed repair,
+    /// whose block bytes cross the link only for the one repair tuple the
+    /// planner uses per missing block, so scrub traffic scales with
+    /// damage × code locality, not with the archive; (3) the repair
+    /// write-back together with the metadata heals. It restores the
+    /// byte-identical final backend state the serial scrub would. A
+    /// metadata copy whose probe times out ([`StoreError::TimedOut`]) is
+    /// neither healthy nor healed: it is not rewritten or counted, and a
+    /// later scrub that reaches it heals it.
     pub fn scrub(&mut self) -> u64 {
         let store = Arc::clone(&self.store);
         let probe: &B = &store;
@@ -1518,129 +1511,145 @@ impl<B: BlockRepo + ?Sized> Archive<B> {
         // Heal the metadata plane copy by copy: byte-compare against the
         // canonical in-memory journal, so silently-garbled copies are
         // rewritten too, not just missing ones.
-        let records = self
-            .journal
-            .iter()
-            .map(|(&seq, block)| (false, seq, block.clone()))
-            .chain(
-                self.pointers
-                    .iter()
-                    .map(|(&slot, block)| (true, slot, block.clone())),
-            )
-            .collect::<Vec<_>>();
-        for (pointer, seq, block) in records {
-            for copy in 0..self.meta.copies {
-                let id = if pointer {
-                    pointer_id(seq, copy)
-                } else {
-                    meta_copy_id(seq, copy)
-                };
-                let healthy = self
-                    .store
-                    .fetch(id)
-                    .is_some_and(|found| found.as_slice() == block.as_slice());
-                if !healthy {
-                    self.store.store(id, block.clone());
-                    restored += 1;
-                }
+        for (id, block) in self.meta_copies() {
+            let healthy = self
+                .store
+                .fetch(id)
+                .is_some_and(|found| found.as_slice() == block.as_slice());
+            if !healthy {
+                self.store.store(id, block);
+                restored += 1;
             }
         }
-        // Pointer cells the archive does not own (uncommitted writes a
-        // crash tore mid-commit, survived by open) are garbage: clear
-        // the bytes so future opens see a clean cell.
-        for slot in 0..2u64 {
-            if !self.pointers.contains_key(&slot) {
-                for copy in 0..self.meta.copies {
-                    self.store.remove(pointer_id(slot, copy));
-                }
-            }
+        for id in self.stale_pointer_cells() {
+            self.store.remove(id);
         }
         restored
     }
 
-    /// The pipelined scrub: same four stages as [`Self::scrub_serial`] —
-    /// (1) one in-place verification batch over everything the backend
-    /// should hold, quarantining corrupt blocks; (2) round-based repair
-    /// replayed against the sweep's presence answers with its write log
-    /// committed in deterministic order; (3) metadata compare-and-heal;
-    /// (4) stale pointer-cell clearing. Stages 2–4 move through the
-    /// bounded in-flight window.
+    /// Every metadata copy the backend should hold, with its canonical
+    /// bytes, in scrub order: journal records by sequence, then pointer
+    /// cells by slot, copies innermost.
+    fn meta_copies(&self) -> Vec<(BlockId, Block)> {
+        let mut out = Vec::new();
+        for (&seq, block) in &self.journal {
+            for copy in 0..self.meta.copies {
+                out.push((meta_copy_id(seq, copy), block.clone()));
+            }
+        }
+        for (&slot, block) in &self.pointers {
+            for copy in 0..self.meta.copies {
+                out.push((pointer_id(slot, copy), block.clone()));
+            }
+        }
+        out
+    }
+
+    /// Pointer cells the archive does not own (uncommitted writes a crash
+    /// tore mid-commit, survived by open): garbage a scrub clears so
+    /// future opens see a clean cell.
+    fn stale_pointer_cells(&self) -> Vec<BlockId> {
+        (0..2u64)
+            .filter(|slot| !self.pointers.contains_key(slot))
+            .flat_map(|slot| (0..self.meta.copies).map(move |copy| pointer_id(slot, copy)))
+            .collect()
+    }
+
+    /// The pipelined scrub: the serial path's four stages, folded into
+    /// three window phases by the namespaces they touch (scheme blocks
+    /// vs. metadata copies vs. stale pointer cells, pairwise disjoint).
+    /// (1) One window carries the in-place verification batch over every
+    /// scheme block, the metadata probes and the stale pointer-cell
+    /// clears; corrupt scheme blocks are then quarantined. (2) Round-based
+    /// repair replays against the sweep's presence answers. (3) One
+    /// window commits the repair write log and the metadata heals, in the
+    /// serial path's order. A metadata probe that times out is neither
+    /// healthy nor healed: its copy is not counted as restored, and is
+    /// left for a scrub that can reach it.
     fn scrub_pipelined(&self, handle: AsyncHandle<'_>) -> u64 {
+        /// One phase-1 answer.
+        enum Swept {
+            Verdicts(Vec<Result<(), StoreError>>),
+            Probe(Result<Block, StoreError>),
+            Cleared,
+        }
         let window = in_flight_window();
         let repo = handle.repo;
-        // Stage 1: integrity sweep + quarantine.
-        let sweep: Vec<BlockId> = self.stored_ids.clone();
-        let verdicts = handle.run(repo.verify_batch_async(sweep.clone()));
-        let corrupt: Vec<BlockId> = sweep
+        let meta = self.meta_copies();
+        let clears = self.stale_pointer_cells();
+
+        // Phase 1: integrity sweep, metadata probes, stale-cell clears.
+        let mut ops: Vec<OpFactory<'_, Swept>> = Vec::with_capacity(1 + meta.len() + clears.len());
+        let ids = self.stored_ids.clone();
+        ops.push(Box::new(move || {
+            let fut = repo.verify_batch_async(ids);
+            Box::pin(async move { Swept::Verdicts(fut.await) })
+        }));
+        for &(id, _) in &meta {
+            ops.push(Box::new(move || {
+                let fut = repo.read_async(id);
+                Box::pin(async move { Swept::Probe(fut.await) })
+            }));
+        }
+        for &id in &clears {
+            ops.push(Box::new(move || {
+                let fut = repo.remove_async(id);
+                Box::pin(async move {
+                    fut.await;
+                    Swept::Cleared
+                })
+            }));
+        }
+        let mut swept = handle.run(Box::pin(windowed(ops, window))).into_iter();
+        let Some(Swept::Verdicts(verdicts)) = swept.next() else {
+            unreachable!("the verification batch is issued first");
+        };
+        let mut heals: Vec<(BlockId, Block)> = Vec::new();
+        for ((id, canon), probe) in meta.into_iter().zip(swept) {
+            let Swept::Probe(found) = probe else {
+                unreachable!("the probes follow the verification batch");
+            };
+            match found {
+                Ok(b) if b.as_slice() == canon.as_slice() => {}
+                Err(StoreError::TimedOut(_)) => {}
+                Ok(_) | Err(StoreError::NotFound(_)) | Err(StoreError::Corrupted(_)) => {
+                    heals.push((id, canon));
+                }
+            }
+        }
+        // Quarantine: a corrupt block is worse than a missing one.
+        let corrupt: Vec<BlockId> = self
+            .stored_ids
             .iter()
             .zip(&verdicts)
             .filter(|(_, r)| matches!(r, Err(StoreError::Corrupted(_))))
             .map(|(&id, _)| id)
             .collect();
-        handle.run(Box::pin(windowed_map(corrupt.clone(), window, move |id| {
+        handle.run(Box::pin(windowed_map(corrupt, window, move |id| {
             repo.remove_async(id)
         })));
-        // Stage 2: replayed repair. The sweep's answers describe the
+
+        // Phase 2: replayed repair. The sweep's answers describe the
         // post-quarantine backend, so the planners see exactly what the
         // serial path's would.
         let mut replay = Replay::new(handle, window);
-        let corrupt_set: std::collections::HashSet<BlockId> = corrupt.into_iter().collect();
-        for (&id, verdict) in sweep.iter().zip(verdicts) {
-            if corrupt_set.contains(&id) {
-                replay.seed_absent(id);
+        for (&id, verdict) in self.stored_ids.iter().zip(verdicts) {
+            if matches!(verdict, Err(StoreError::Corrupted(_))) {
+                replay.seed_absent(id); // quarantined above
             } else {
-                replay.seed_verified(id, verdict);
+                replay.seed_verified(id, verdict, self.block_size);
             }
         }
         let written = self.scheme.data_written();
-        let (summary, writes) = replay.run(|src| {
+        let (summary, mut writes) = replay.run(|src| {
             let repo: &dyn BlockRepo = src;
             self.scheme.repair_missing(repo, &self.stored_ids, written)
         });
+
+        // Phase 3: repair write-back, then metadata heals.
+        let restored = summary.total_repaired() as u64 + heals.len() as u64;
+        writes.extend(heals);
         replay.commit(writes);
-        let mut restored = summary.total_repaired() as u64;
-        // Stage 3: metadata compare-and-heal, in the serial path's record
-        // order (journal by sequence, then pointers by slot, copies
-        // innermost).
-        let mut meta: Vec<(BlockId, Block)> = Vec::new();
-        for (&seq, block) in &self.journal {
-            for copy in 0..self.meta.copies {
-                meta.push((meta_copy_id(seq, copy), block.clone()));
-            }
-        }
-        for (&slot, block) in &self.pointers {
-            for copy in 0..self.meta.copies {
-                meta.push((pointer_id(slot, copy), block.clone()));
-            }
-        }
-        let meta_ids: Vec<BlockId> = meta.iter().map(|(id, _)| *id).collect();
-        let found = handle.run(Box::pin(windowed_map(meta_ids, window, move |id| {
-            repo.fetch_async(id)
-        })));
-        let unhealthy: Vec<(BlockId, Block)> = meta
-            .into_iter()
-            .zip(found)
-            .filter(|((_, canon), f)| f.as_ref().is_none_or(|b| b.as_slice() != canon.as_slice()))
-            .map(|(rec, _)| rec)
-            .collect();
-        restored += unhealthy.len() as u64;
-        handle.run(Box::pin(windowed_map(
-            unhealthy,
-            window,
-            move |(id, block)| repo.store_async(id, block),
-        )));
-        // Stage 4: clear pointer cells the archive does not own.
-        let mut clears: Vec<BlockId> = Vec::new();
-        for slot in 0..2u64 {
-            if !self.pointers.contains_key(&slot) {
-                for copy in 0..self.meta.copies {
-                    clears.push(pointer_id(slot, copy));
-                }
-            }
-        }
-        handle.run(Box::pin(windowed_map(clears, window, move |id| {
-            repo.remove_async(id)
-        })));
         restored
     }
 

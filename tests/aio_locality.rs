@@ -122,10 +122,10 @@ fn windows(ops: usize) -> u64 {
 }
 
 /// Scrubbing an undamaged archive costs a constant number of round trips:
-/// one in-place verification batch, the metadata compare (its size bounded
-/// by the checkpoint, not by the stored ids) and the stale pointer-cell
-/// clear. Before in-place verification the sweep read every stored block,
-/// so the cost grew as stored ids ÷ window.
+/// one window carrying the in-place verification batch, the metadata
+/// probes (their number bounded by the checkpoint, not by the stored ids)
+/// and the stale pointer-cell clears. Before in-place verification the
+/// sweep read every stored block, so the cost grew as stored ids ÷ window.
 #[test]
 fn pipelined_scrub_of_a_healthy_archive_costs_constant_round_trips() {
     for (scheme, _) in roster() {
@@ -136,7 +136,7 @@ fn pipelined_scrub_of_a_healthy_archive_costs_constant_round_trips() {
             let clears = 2 * usize::from(ar.meta_config().copies);
             let (restored, cost) = rtts(&net, || ar.scrub());
             assert_eq!(restored, 0, "{name}: nothing to restore");
-            let bound = 1 + windows(meta) + windows(clears);
+            let bound = windows(1 + meta + clears);
             assert!(
                 cost <= bound,
                 "{name} at {files} files ({} stored ids): scrub took {cost} round trips, \
@@ -177,6 +177,36 @@ fn pipelined_degraded_get_fetches_its_tuple_not_the_archive() {
                 cost <= bound,
                 "{name} at {files} files: degraded get took {cost} round trips, bound {bound}"
             );
+        }
+    }
+}
+
+/// A scrub of an archive missing one data block reads, beyond the
+/// verification sweep (one inner read per stored id, done where the
+/// blocks live) and the metadata probes, only one repair tuple: the
+/// scheme's single-failure cost (2 for AE, k for RS, 1 for replication),
+/// not every option the planner could have tried.
+#[test]
+fn pipelined_scrub_fetches_one_tuple_per_lost_block() {
+    for (scheme, _) in roster() {
+        for files in SIZES {
+            let (mut ar, net) = remote_archive(&scheme, files);
+            let name = ar.scheme().scheme_name();
+            let file = format!("f{:03}", files / 2);
+            let entry = ar.entry(&file).expect("archived file");
+            let victim = ar.data_ids()[entry.first_block as usize + 1];
+            assert!(net.inner().inner().inner.remove(victim));
+            let reads0 = net.inner().inner().reads();
+            assert_eq!(ar.scrub(), 1, "{name} at {files} files");
+            let reads = net.inner().inner().reads() - reads0;
+            let repair_reads = reads - (ar.stored_ids().len() + ar.live_meta_ids().len()) as u64;
+            let tuple = u64::from(ar.scheme().repair_cost().single_failure_reads);
+            assert!(
+                repair_reads <= tuple,
+                "{name} at {files} files: the scrub read {repair_reads} blocks to repair one, \
+                 tuple is {tuple}"
+            );
+            assert!(net.inner().inner().inner.contains(victim), "{name}");
         }
     }
 }
@@ -229,13 +259,16 @@ fn two_tier<S: BlockRepo + Send + Sync>(inner: Arc<S>) -> LatencyStore<S> {
         },
         11,
     )
-    .with_retry(RetryPolicy {
-        attempts: 3,
-        timeout: Duration::from_millis(20),
-        backoff: Duration::from_millis(5),
-        multiplier: 2,
-    })
+    .with_retry(RETRY)
 }
+
+/// Three attempts, each timing out after 20 ms, 5 ms initial backoff.
+const RETRY: RetryPolicy = RetryPolicy {
+    attempts: 3,
+    timeout: Duration::from_millis(20),
+    backoff: Duration::from_millis(5),
+    multiplier: 2,
+};
 
 /// Over the latency model, a dead tier answers `TimedOut` for exactly the
 /// ids routed to it while the live tier's verdicts stand; reviving the
@@ -284,6 +317,42 @@ fn latency_verify_batch_times_out_exactly_the_dead_tier() {
     );
 }
 
+type Linked = BlockOn<LatencyStore<MemStore>>;
+
+/// An eight-file archive over `store`.
+fn linked_archive(
+    scheme: &Scheme,
+    store: LatencyStore<MemStore>,
+) -> (Archive<Linked>, Arc<Linked>) {
+    let net = Arc::new(store.into_sync());
+    let scheme: Arc<dyn RedundancyScheme> = Arc::from(scheme.build(BLOCK));
+    let mut ar = Archive::with_scheme(scheme, BLOCK, Arc::clone(&net));
+    for f in 0..8u8 {
+        let bytes = vec![f; BLOCK * BLOCKS_PER_FILE];
+        ar.put(&format!("f{f}"), &bytes).expect("fresh name");
+    }
+    ar.seal().expect("flush buffered redundancy");
+    (ar, net)
+}
+
+/// A pipelined scrub of an undamaged archive whose one remote link stays
+/// dead throughout restores nothing: a metadata copy whose probe timed
+/// out is neither healthy nor healed, so it is not counted as restored.
+#[test]
+fn scrub_of_an_undamaged_archive_over_a_dead_remote_restores_nothing() {
+    for (scheme, _) in roster() {
+        let rt = Runtime::new(Clock::virtual_time());
+        let link = LatencyStore::uniform(Arc::new(MemStore::new()), rt, LinkSpec::rtt(RTT), 5);
+        let (mut ar, net) = linked_archive(&scheme, link.with_retry(RETRY));
+        let name = ar.scheme().scheme_name();
+        net.inner().set_dead(Tier::Remote, true);
+        assert_eq!(ar.scrub(), 0, "{name}: dead remote");
+        net.inner().set_dead(Tier::Remote, false);
+        assert_eq!(ar.scrub(), 0, "{name}: revived remote");
+        assert!(ar.verify_all().is_empty(), "{name}");
+    }
+}
+
 /// A pipelined scrub while the remote tier is dead quarantines nothing:
 /// a timed-out block is not a corrupt one. That holds even when the tier
 /// revives right after the verification batch gave up, so the quarantine
@@ -293,14 +362,7 @@ fn latency_verify_batch_times_out_exactly_the_dead_tier() {
 fn scrub_over_a_dead_remote_never_quarantines_and_heals_after_revival() {
     for (scheme, _) in roster() {
         let inner = Arc::new(MemStore::new());
-        let net = Arc::new(two_tier(Arc::clone(&inner)).into_sync());
-        let scheme: Arc<dyn RedundancyScheme> = Arc::from(scheme.build(BLOCK));
-        let mut ar = Archive::with_scheme(scheme, BLOCK, Arc::clone(&net));
-        for f in 0..8u8 {
-            let bytes = vec![f; BLOCK * BLOCKS_PER_FILE];
-            ar.put(&format!("f{f}"), &bytes).expect("fresh name");
-        }
-        ar.seal().expect("flush buffered redundancy");
+        let (mut ar, net) = linked_archive(&scheme, two_tier(Arc::clone(&inner)));
         let name = ar.scheme().scheme_name();
         let victims: Vec<BlockId> = ar.stored_ids().iter().copied().step_by(9).collect();
         for v in &victims {
